@@ -20,6 +20,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .core import (
@@ -557,10 +558,22 @@ def _cmd_validate(args) -> int:
 
 
 def _parse_threads(spec: str) -> tuple[int, ...]:
+    """Parse a ``--threads`` list and clamp it to the host's CPUs.
+
+    Counts above ``os.cpu_count()`` oversubscribe the host and measure
+    the scheduler, not the kernel; each is dropped with a note on
+    stderr (and the CPU count itself is swept instead when nothing
+    would remain)."""
     threads = tuple(int(t) for t in spec.split(",") if t.strip())
     if not threads or any(t < 1 for t in threads):
         raise ValueError(f"bad thread list {spec!r}")
-    return threads
+    cpus = os.cpu_count() or 1
+    for t in threads:
+        if t > cpus:
+            print(f"note: dropping --threads {t}: this host has "
+                  f"{cpus} CPU(s)", file=sys.stderr)
+    kept = tuple(t for t in threads if t <= cpus)
+    return kept or (cpus,)
 
 
 def _cmd_bench(args) -> int:

@@ -129,18 +129,21 @@ class _CacheEntry:
     The entry also owns a :class:`~repro.memory.workspace.Workspace`
     arena so repeat service of the same matrix reuses the scratch
     buffers of previous applies — the numeric plane of a cache hit runs
-    allocation-free in steady state."""
+    allocation-free in steady state. Every operator served from the
+    entry shares the arena, and operators may run on different threads,
+    so it is thread-local: each thread gets private buffers.
+
+    Entries are replaced whole through :meth:`PlanCache.store`, never
+    updated field by field, so a concurrent hit never pairs one
+    matrix's data with another matrix's digest."""
 
     plan: "OptimizationPlan"
     kernel: ConfiguredSpMV
     data: object | None
     values_digest: str | None
-    workspace: Workspace | None = None
-
-    def arena(self) -> Workspace:
-        if self.workspace is None:
-            self.workspace = Workspace()
-        return self.workspace
+    workspace: Workspace = field(
+        default_factory=lambda: Workspace(thread_local=True)
+    )
 
 
 def _kernel_from_plan(plan: "OptimizationPlan"):
@@ -899,7 +902,7 @@ class AdaptiveSpMV:
                 return OptimizedSpMV(
                     csr=csr, kernel=kernel, data=entry.data,
                     machine=self.machine, plan=plan,
-                    workspace=entry.arena(),
+                    workspace=entry.workspace,
                     parallel_config=self.parallel,
                     model=self.model,
                 )
@@ -909,14 +912,15 @@ class AdaptiveSpMV:
                                  materialized=True) as span:
                 data = kernel.preprocess(csr)
                 span.charged_seconds = entry.plan.setup_seconds
-            entry.data = data
-            entry.values_digest = digest
+            self.plan_cache.store(key, _CacheEntry(
+                entry.plan, kernel, data, digest, entry.workspace
+            ))
             plan = replace(entry.plan, decision_seconds=0.0,
                            cache_hit=True, executor_spec=self.spec)
             return OptimizedSpMV(
                 csr=csr, kernel=kernel, data=data,
                 machine=self.machine, plan=plan,
-                workspace=entry.arena(),
+                workspace=entry.workspace,
                 parallel_config=self.parallel,
                 model=self.model,
             )
@@ -931,7 +935,7 @@ class AdaptiveSpMV:
             data=ctx.data,
             machine=self.machine,
             plan=plan,
-            workspace=entry.arena(),
+            workspace=entry.workspace,
             parallel_config=self.parallel,
             model=self.model,
         )

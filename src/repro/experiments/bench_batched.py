@@ -12,6 +12,7 @@ and validates the schema on every CI run.
 from __future__ import annotations
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -37,7 +38,7 @@ __all__ = [
 #: Required top-level keys of ``BENCH_kernels.json``.
 BENCH_SCHEMA_KEYS = frozenset(
     {"schema_version", "rhs", "repeats", "suite", "kernels",
-     "geomean_speedup", "parallel", "cost_model"}
+     "geomean_speedup", "parallel", "cost_model", "cpu_count"}
 )
 #: Required keys of every per-kernel measurement row.
 ROW_SCHEMA_KEYS = frozenset(
@@ -68,7 +69,9 @@ PARALLEL_THREADS = (1, 2, 4, 8)
 #: :class:`~repro.model.CalibratedModel` passed as ``model=`` also
 #: accumulates the pairs for :meth:`~repro.model.CalibratedModel.
 #: refine`.
-SCHEMA_VERSION = 4
+#: v5: the payload records the host's ``os.cpu_count()``
+#: (``cpu_count``), the bound the CLI clamps the thread sweep to.
+SCHEMA_VERSION = 5
 
 
 def measure_steady_allocs(fn, *, min_block_bytes: int = 4096) -> dict:
@@ -355,6 +358,7 @@ def bench_kernels(
         "rhs": int(rhs),
         "repeats": int(repeats),
         "cost_model": model.signature(),
+        "cpu_count": os.cpu_count(),
         "suite": [
             {"matrix": name, "nrows": csr.nrows, "nnz": csr.nnz}
             for name, csr in matrices

@@ -9,11 +9,12 @@ Beyond storage, :class:`CSRMatrix` carries the vectorized row-statistics
 helpers (row lengths, bandwidths, nonzero gaps) that both the feature
 extractor (paper Table II) and the machine cost model are built on.
 
-The numeric kernels participate in the zero-allocation execution plane
-(docs/performance.md): every kernel accepts ``out=`` and ``workspace=``
-so repeat executions write into caller-owned buffers, and the
-structure-derived iteration plans (segment boundaries, the CSC
-permutation for ``rmatvec``, the length-sorted row order of the
+``matvec``, ``matmat`` and ``rmatvec`` run SciPy's compiled CSR loops
+through :mod:`repro.formats._compiled`, and take part in the
+zero-allocation execution plane (docs/performance.md): every kernel
+accepts ``out=`` and ``workspace=`` so repeat executions write into
+caller-owned buffers. Structure-derived arrays (the matched-dtype index
+pair of the compiled loops, the length-sorted row order of the
 compensated kernel) are computed once and cached on the matrix —
 structural arrays are immutable by contract, only ``values`` may be
 swapped/mutated by plan rebuilds.
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_shape_2d, ensure_1d
+from ._compiled import csc_matvec, csr_matvec, csr_matvecs, index_arrays
 from .base import (
     SparseFormat,
     check_out_buffer,
@@ -57,7 +59,7 @@ class CSRMatrix(SparseFormat):
     format_name = "csr"
 
     __slots__ = ("rowptr", "colind", "values", "_shape",
-                 "_row_ids", "_seg", "_csc", "_comp", "_ipcol")
+                 "_row_ids", "_index", "_comp", "_ipcol")
 
     def __init__(self, rowptr, colind, values, shape, *, trusted=False):
         self._shape = check_shape_2d("shape", shape)
@@ -85,8 +87,7 @@ class CSRMatrix(SparseFormat):
         self.values = values
         # Structure-derived plan caches (lazy; values-independent).
         self._row_ids = None
-        self._seg = None
-        self._csc = None
+        self._index = None
         self._comp = None
         self._ipcol = None
 
@@ -116,7 +117,8 @@ class CSRMatrix(SparseFormat):
         check_index_bounds(report, "colind", self.colind, self.ncols)
         if ptr_ok and self.colind.size:
             # Canonical CSR keeps columns strictly increasing per row;
-            # duplicates or disorder silently break reduceat kernels.
+            # the kernels sum each row in stored order, so disorder or
+            # duplicates change results between equal matrices.
             gaps = np.diff(self.colind.astype(np.int64))
             interior = np.ones(self.colind.size - 1, dtype=bool)
             starts = self.rowptr[1:-1]
@@ -133,38 +135,30 @@ class CSRMatrix(SparseFormat):
 
     # -- cached iteration plans ---------------------------------------
 
-    def _segment_plan(self) -> "_SegmentPlan":
-        """Row-segment reduction plan for rowptr (cached)."""
-        if self._seg is None:
-            self._seg = _SegmentPlan(self.rowptr)
-        return self._seg
+    def _compiled_arrays(self):
+        """``(indptr, indices, values)`` for the compiled loops.
+
+        The index pair is cached: ``rowptr`` is int64 and ``colind``
+        int32, and the loops would otherwise cast one of them on every
+        apply (see :func:`~repro.formats._compiled.index_arrays`).
+        ``values`` may be swapped after the cache is built, so its
+        length is re-checked on every call.
+        """
+        if self._index is None:
+            self._index = index_arrays(self.rowptr, self.colind,
+                                       self._shape)
+        indptr, indices = self._index
+        if self.values.size != indices.size:
+            raise ValueError("colind and values must have equal length")
+        return indptr, indices, self.values
 
     def _gather_cols(self) -> np.ndarray:
-        """``colind`` as contiguous ``intp`` (cached): the gather
-        kernels would otherwise re-cast the compressed int32 indices on
-        every apply, allocating an nnz-sized temporary each call."""
+        """``colind`` as contiguous ``intp`` (cached) for the
+        compensated kernel's gather, so it never re-casts the int32
+        indices on every apply."""
         if self._ipcol is None:
             self._ipcol = gather_index(self.colind)
         return self._ipcol
-
-    def _csc_plan(self):
-        """Cached column-major traversal: ``(perm, rows_csc, colplan)``.
-
-        ``perm`` is the stable sort of ``colind`` (so nonzeros of one
-        column keep their original relative order — this is what makes
-        the reduceat path bit-identical to the ``np.add.at`` scatter),
-        ``rows_csc`` is the row id of every nonzero in that order, and
-        ``colplan`` is the column-segment reduction plan.
-        """
-        if self._csc is None:
-            # intp index arrays: keeps the per-call gathers cast-free.
-            perm = gather_index(np.argsort(self.colind, kind="stable"))
-            rows_csc = gather_index(self.row_ids_per_nnz()[perm])
-            colptr = np.zeros(self.ncols + 1, dtype=np.int64)
-            counts = np.bincount(self.colind, minlength=self.ncols)
-            np.cumsum(counts, out=colptr[1:])
-            self._csc = (perm, rows_csc, _SegmentPlan(colptr))
-        return self._csc
 
     def _comp_plan(self):
         """Cached lockstep plan for the compensated kernel:
@@ -185,11 +179,11 @@ class CSRMatrix(SparseFormat):
 
     def matvec(self, x: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """Compute ``y = A @ x`` via a segmented gather-multiply-reduce.
+        """Compute ``y = A @ x`` with SciPy's compiled CSR loop.
 
         With ``out=`` the result is written into the caller-owned
-        buffer; with ``workspace=`` the gathered-products intermediate
-        comes from the arena, so a repeat call allocates nothing.
+        buffer. The kernel needs no scratch; ``workspace=`` only
+        supplies the contiguous copy of a strided ``x``.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ncols,):
@@ -199,51 +193,34 @@ class CSRMatrix(SparseFormat):
         else:
             y = check_out_buffer(out, (self.nrows,), operand=x)
         x = contiguous_operand(x, workspace, "csr.matvec.x")
-        if workspace is not None:
-            products = workspace.buffer("csr.matvec.products", self.nnz)
-        else:
-            products = np.empty(self.nnz, dtype=np.float64)
-        # mode="clip" (indices are validated at construction): the
-        # default mode="raise" forces np.take through a buffered path
-        # that allocates an nnz-sized temporary on every call.
-        np.take(x, self._gather_cols(), out=products, mode="clip")
-        np.multiply(products, self.values, out=products)
-        _segment_sums_into(products, self._segment_plan(), y,
-                           workspace, "csr.matvec")
-        return y
+        return csr_matvec(*self._compiled_arrays(), self._shape, x, y)
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
         """Compute ``Y = A @ X`` for a dense block of right-hand sides.
 
-        One pass over the nonzeros regardless of ``k``: each gathered
-        row of ``X`` serves all ``k`` vectors, so index traffic and the
-        irregular x-access stream are amortized ``k``-fold (the SpMM
-        optimization of Saule et al., arXiv:1302.1078). Work is tiled
-        over row-aligned nnz blocks so the ``(nnz, k)`` product
-        intermediate stays cache-resident.
+        One pass over the nonzeros regardless of ``k``: each row's
+        index and value stream serves all ``k`` vectors (the SpMM
+        optimization of Saule et al., arXiv:1302.1078). Column ``j`` of
+        the result is bitwise equal to ``matvec(X[:, j])``.
         """
         X = self._check_matmat_input(X)
-        if out is not None:
+        if out is None:
+            out = np.empty((self.nrows, X.shape[1]), dtype=np.float64)
+        else:
             out = check_out_buffer(out, (self.nrows, X.shape[1]),
                                    operand=X)
-        return _segment_matmat(
-            self._gather_cols(), self.values, self.rowptr, X,
-            self.nrows, out=out, workspace=workspace,
-            plan=self._segment_plan(), name="csr",
-        )
+        return csr_matvecs(*self._compiled_arrays(), self._shape, X, out)
 
     def rmatvec(self, x: np.ndarray, out: np.ndarray | None = None,
                 workspace=None) -> np.ndarray:
         """Compute ``y = A.T @ x`` without materializing the transpose.
 
-        Traverses the nonzeros in cached column-major (CSC) order and
-        reduces each column segment with ``np.add.reduceat`` — an order
-        of magnitude faster than the equivalent ``np.add.at`` scatter,
-        and bit-identical to it because the stable permutation keeps
-        each column's contributions in original order. Used by
-        normal-equation solvers and PageRank-style rank propagation,
-        where an explicit transpose would double the memory footprint.
+        The CSR arrays of ``A`` are the CSC arrays of ``A.T``, so this
+        runs SciPy's compiled CSC loop on them — the loop behind
+        ``S.T @ x``. Used by normal-equation solvers and
+        PageRank-style rank propagation, where an explicit transpose
+        would double the memory footprint.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.nrows,):
@@ -253,18 +230,7 @@ class CSRMatrix(SparseFormat):
         else:
             y = check_out_buffer(out, (self.ncols,), operand=x)
         x = contiguous_operand(x, workspace, "csr.rmatvec.x")
-        perm, rows_csc, colplan = self._csc_plan()
-        if workspace is not None:
-            products = workspace.buffer("csr.rmatvec.products", self.nnz)
-            vals = workspace.buffer("csr.rmatvec.values", self.nnz)
-        else:
-            products = np.empty(self.nnz, dtype=np.float64)
-            vals = np.empty(self.nnz, dtype=np.float64)
-        np.take(x, rows_csc, out=products, mode="clip")
-        np.take(self.values, perm, out=vals, mode="clip")
-        np.multiply(products, vals, out=products)
-        _segment_sums_into(products, colplan, y, workspace, "csr.rmatvec")
-        return y
+        return csc_matvec(*self._compiled_arrays(), self._shape, x, y)
 
     def matvec_compensated(self, x: np.ndarray,
                            out: np.ndarray | None = None,
@@ -486,6 +452,12 @@ class CSRMatrix(SparseFormat):
         return CSRMatrix.from_coo(flipped)
 
 
+# -- segmented NumPy reductions -----------------------------------------
+# The CSR kernels above run compiled loops; these helpers remain the
+# numeric plane of the SELL-C-sigma and COO formats (and BCSR's
+# block-row plan).
+
+
 class _SegmentPlan:
     """Precomputed reduction plan over a CSR-style offset array.
 
@@ -542,24 +514,6 @@ def _segment_sums_into(data: np.ndarray, plan: _SegmentPlan,
             out[plan.nonempty] = tmp
         else:
             out[plan.nonempty] = np.add.reduceat(data, plan.starts)
-    return out
-
-
-def _segment_sums(data: np.ndarray, boundaries: np.ndarray) -> np.ndarray:
-    """Sum ``data`` within segments delimited by ``boundaries``.
-
-    ``boundaries`` has ``nseg + 1`` entries; segment ``i`` covers
-    ``data[boundaries[i]:boundaries[i+1]]``. Empty segments sum to 0.
-    Uses ``np.add.reduceat`` on the non-empty segments, which avoids the
-    cancellation error a global cumulative sum would accumulate.
-    """
-    out = np.zeros(boundaries.size - 1, dtype=np.float64)
-    if data.size == 0:
-        return out
-    lengths = np.diff(boundaries)
-    nonempty = np.flatnonzero(lengths > 0)
-    if nonempty.size:
-        out[nonempty] = np.add.reduceat(data, boundaries[nonempty])
     return out
 
 

@@ -24,12 +24,7 @@ from .base import (
     contiguous_operand,
     gather_index,
 )
-from .csr import (
-    CSRMatrix,
-    _SegmentPlan,
-    _segment_matmat,
-    _segment_sums_into,
-)
+from .csr import CSRMatrix
 
 __all__ = ["DecomposedCSR", "default_long_row_threshold"]
 
@@ -63,8 +58,7 @@ class DecomposedCSR(SparseFormat):
         "long_values",
         "threshold",
         "_shape",
-        "_longseg",
-        "_ipcols",
+        "_long",
         "_iprows",
     )
 
@@ -77,8 +71,7 @@ class DecomposedCSR(SparseFormat):
         self.long_values = np.ascontiguousarray(long_values, dtype=np.float64)
         self.threshold = int(threshold)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._longseg = None
-        self._ipcols = None
+        self._long = None
         self._iprows = None
         if not trusted:
             if self.long_rowptr.size != self.long_rows.size + 1:
@@ -208,17 +201,15 @@ class DecomposedCSR(SparseFormat):
     def long_nnz(self) -> int:
         return int(self.long_values.size)
 
-    def _long_plan(self) -> _SegmentPlan:
-        if self._longseg is None:
-            self._longseg = _SegmentPlan(self.long_rowptr)
-        return self._longseg
-
-    def long_cols_gather(self) -> np.ndarray:
-        """``long_colind`` as contiguous ``intp`` (cached), so the
-        per-apply gather never re-casts the int32 indices."""
-        if self._ipcols is None:
-            self._ipcols = gather_index(self.long_colind)
-        return self._ipcols
+    def long_csr(self) -> CSRMatrix:
+        """The long rows as a compact CSR (row ``i`` is original row
+        ``long_rows[i]``), cached; it shares the long-part arrays."""
+        if self._long is None:
+            self._long = CSRMatrix(
+                self.long_rowptr, self.long_colind, self.long_values,
+                (self.n_long_rows, self.ncols), trusted=True,
+            )
+        return self._long
 
     def long_rows_gather(self) -> np.ndarray:
         """``long_rows`` as contiguous ``intp`` (cached), for the
@@ -233,25 +224,18 @@ class DecomposedCSR(SparseFormat):
         if out is not None:
             out = check_out_buffer(out, (self.nrows,), operand=x)
         # One contiguous copy serves both the short CSR kernel (which
-        # would otherwise make its own) and the long-row gather below.
+        # would otherwise make its own) and the long part below.
         x = contiguous_operand(x, workspace, "csr.matvec.x")
         y = self.short.matvec(x, out=out, workspace=workspace)
         nlong = self.long_rows.size
         if nlong:
             if workspace is not None:
-                products = workspace.buffer("dcsr.long.products",
-                                            self.long_values.size)
                 sums = workspace.buffer("dcsr.long.sums", nlong)
                 rowbuf = workspace.buffer("dcsr.long.rows", nlong)
             else:
-                products = np.empty(self.long_values.size, dtype=np.float64)
                 sums = np.empty(nlong, dtype=np.float64)
                 rowbuf = np.empty(nlong, dtype=np.float64)
-            np.take(x, self.long_cols_gather(), out=products,
-                    mode="clip")
-            np.multiply(products, self.long_values, out=products)
-            _segment_sums_into(products, self._long_plan(), sums,
-                               workspace, "dcsr.long")
+            self.long_csr().matvec(x, out=sums)
             # y[long_rows] += sums without a fancy-index temporary
             # (long_rows is duplicate-free by construction).
             rows = self.long_rows_gather()
@@ -262,9 +246,8 @@ class DecomposedCSR(SparseFormat):
 
     def matmat(self, X: np.ndarray, out: np.ndarray | None = None,
                workspace=None) -> np.ndarray:
-        """Batched two-part apply: short part via the CSR batched
-        kernel, long rows via the same segmented kernel on their
-        contiguous storage."""
+        """Batched two-part apply: both parts run the CSR batched
+        kernel, the long rows on their contiguous storage."""
         X = self._check_matmat_input(X)
         k = X.shape[1]
         if out is not None:
@@ -278,12 +261,7 @@ class DecomposedCSR(SparseFormat):
             else:
                 sums = np.empty((nlong, k), dtype=np.float64)
                 rowbuf = np.empty((nlong, k), dtype=np.float64)
-            _segment_matmat(
-                self.long_cols_gather(), self.long_values,
-                self.long_rowptr, X, nlong, out=sums,
-                workspace=workspace, plan=self._long_plan(),
-                name="dcsr.long",
-            )
+            self.long_csr().matmat(X, out=sums)
             rows = self.long_rows_gather()
             np.take(Y, rows, axis=0, out=rowbuf, mode="clip")
             np.add(rowbuf, sums, out=rowbuf)

@@ -19,7 +19,7 @@ is how the optimizer combines the recipes of multiple detected classes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class PreparedData:
     delta: DeltaCSR | None = None
     decomposed: DecomposedCSR | None = None
     short_delta: DeltaCSR | None = None
-    _long_csr: CSRMatrix | None = field(default=None, repr=False)
 
     @property
     def main_csr(self) -> CSRMatrix:
@@ -134,14 +133,7 @@ class PreparedData:
         """The long rows as a compact CSR (rows = long rows only)."""
         if self.decomposed is None or self.decomposed.n_long_rows == 0:
             return None
-        if self._long_csr is None:
-            d = self.decomposed
-            self._long_csr = CSRMatrix(
-                d.long_rowptr.copy(), d.long_colind.copy(),
-                d.long_values.copy(), (d.n_long_rows, d.ncols),
-                trusted=True,
-            )
-        return self._long_csr
+        return self.decomposed.long_csr()
 
 
 class ConfiguredSpMV(Kernel):

@@ -1,12 +1,13 @@
 """Workspace arenas: named, reusable scratch buffers for hot loops.
 
-Every ``matvec``/``matmat``/``apply`` in the execution plane needs
-short-lived intermediates (the ``values * x[colind]`` product array,
-SELL-C-sigma gather buffers, decomposed-CSR partial sums, padded
-x/y images of the BCSR kernel). Allocating them per call puts the
-allocator and the page-fault handler on the steady-state path of every
-solver iteration — exactly the repeat-execution regime the paper's
-amortization analysis (Table V) prices. A :class:`Workspace` owns those
+Most ``matvec``/``matmat``/``apply`` paths in the execution plane need
+short-lived intermediates (SELL-C-sigma gather buffers, the split
+kernel's long-row sums, padded x/y images of the BCSR kernel, the
+contiguous copy of a strided operand); the CSR family's compiled loop
+needs none. Allocating them per call puts the allocator and the
+page-fault handler on the steady-state path of every solver iteration
+— exactly the repeat-execution regime the paper's amortization
+analysis (Table V) prices. A :class:`Workspace` owns those
 intermediates instead: buffers are keyed by ``(name, shape, dtype)``,
 created once on first use (a *miss*) and handed back on every
 subsequent request (a *hit*), so a repeat execution of the same plan
@@ -24,10 +25,12 @@ Buffers are handed out *dirty* — callers must overwrite or zero them.
 Threading: the default arena is single-threaded — two threads asking
 for the same ``(name, shape, dtype)`` would receive the *same* array
 and corrupt each other's intermediates. The parallel execution plane
-(:mod:`repro.parallel`) therefore uses ``Workspace(thread_local=True)``:
-each OS thread that calls :meth:`buffer` gets its own private store of
-buffers (and its own hit/miss counters), so pool workers reuse scratch
-across calls without ever sharing an array. The accounting surface
+(:mod:`repro.parallel`) and every plan-cache entry (whose operators
+may be applied from different threads) therefore use
+``Workspace(thread_local=True)``: each OS thread that calls
+:meth:`buffer` gets its own private store of buffers (and its own
+hit/miss counters), so threads reuse scratch across calls without ever
+sharing an array. The accounting surface
 (``hits``/``misses``/``bytes_held``/``counters``) aggregates over all
 per-thread stores. See docs/parallelism.md.
 """

@@ -8,10 +8,11 @@ process — the same persistence argument the paper makes for OpenMP's
 thread team. Pools are keyed by worker count: a solver iterating at
 ``nthreads=4`` keeps hitting the same four warm threads.
 
-Threads (not processes) are the right substrate here because NumPy
-releases the GIL inside its heavy inner loops (gather/multiply/
-reduceat over large buffers), so row-block workers genuinely overlap;
-see docs/parallelism.md.
+Threads (not processes) are the right substrate here because the
+kernels' inner loops release the GIL (SciPy's compiled CSR loops for
+the CSR family, NumPy's gather/multiply/reduceat for the other
+formats), so row-block workers genuinely overlap; see
+docs/parallelism.md.
 
 Pools are additionally *supervised*: a cached executor whose threads
 have all died (interpreter-level failures, a stray ``shutdown`` from

@@ -12,6 +12,33 @@ def test_matvec_matches_scipy(small_random_csr, small_random_scipy, x300):
     )
 
 
+@pytest.mark.parametrize("fixture", ["small_random_csr", "empty_row_csr"])
+def test_kernels_match_scipy_bitwise(fixture, request, rng):
+    """matvec/matmat/rmatvec run the loops behind SciPy's ``S @ x``,
+    ``S @ X`` and ``S.T @ x``, so they agree to the last bit."""
+    csr = request.getfixturevalue(fixture)
+    S = csr.to_scipy()
+    x = rng.standard_normal(csr.ncols)
+    X = rng.standard_normal((csr.ncols, 4))
+    xt = rng.standard_normal(csr.nrows)
+    assert np.array_equal(csr.matvec(x), S @ x)
+    assert np.array_equal(csr.matmat(X), S @ X)
+    assert np.array_equal(csr.rmatvec(xt), S.T @ xt)
+
+
+def test_compiled_kernels_refuse_malformed_structure():
+    """The compiled loops do no bounds checks, so a structure that
+    skipped construction-time validation is refused before they run."""
+    bad_col = CSRMatrix([0, 1, 2], [0, 5], [1.0, 1.0], (2, 3), trusted=True)
+    with pytest.raises(ValueError, match="out of bounds"):
+        bad_col.matvec(np.ones(3))
+    short_values = CSRMatrix([0, 1, 2], [0, 1], [1.0, 1.0], (2, 3))
+    short_values.matvec(np.ones(3))
+    short_values.values = short_values.values[:1]
+    with pytest.raises(ValueError, match="equal length"):
+        short_values.rmatvec(np.ones(2))
+
+
 def test_matvec_handles_empty_rows(empty_row_csr):
     x = np.ones(6)
     y = empty_row_csr.matvec(x)

@@ -46,6 +46,7 @@ def _validate(payload):
         assert row["predicted_gflops"] > 0.0
         assert row["model_error_pct"] >= 0.0
     assert isinstance(payload["cost_model"], str) and payload["cost_model"]
+    assert payload["cpu_count"] >= 1
     assert payload["geomean_speedup"] > 0.0
     par = payload["parallel"]
     assert par["threads"], "no parallel thread counts"

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -90,6 +92,26 @@ def test_parallel_command_reports_supervision(capsys):
 def test_parallel_command_rejects_bad_threads(capsys):
     assert main(["parallel", "consph", "--threads", "0,2"]) == 2
     assert "bad thread list" in capsys.readouterr().err
+
+
+def test_thread_sweep_clamped_to_cpu_count(capsys, monkeypatch):
+    from repro.cli import _parse_threads
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _parse_threads("1,2,4,8") == (1, 2)
+    err = capsys.readouterr().err
+    assert "dropping --threads 4" in err and "dropping --threads 8" in err
+    assert _parse_threads("4,8") == (2,)
+
+
+def test_parallel_command_drops_threads_beyond_cpus(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert main(["parallel", "consph", "--scale", "0.05",
+                 "--threads", "1,4", "--schedule", "balanced-nnz",
+                 "--repeats", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "dropping --threads 4: this host has 1 CPU(s)" in captured.err
+    assert "imb (cpu)" in captured.out
 
 
 def test_analyze_reports_cache_hit(capsys):
