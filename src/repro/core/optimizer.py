@@ -13,13 +13,14 @@ stage traced and independently swappable. The stages
 
 The decision is frozen into an :class:`OptimizationPlan` — a
 serializable IR (``to_dict``/``from_dict``, schema-versioned) — and
-repeat matrices are served from a :class:`PlanCache`: a cheap
-structural fingerprint (shape, nnz, rowptr/colind dtype + bytes) keys
-the classification decision *and* the converted execution format, so
-the Table V amortization overhead of a recurring operator drops to
-~zero. Caches persist across processes (``PlanCache.save``/``load``):
-a warm-started optimizer serves its first request at zero decision
-cost, visible in ``OptimizationPlan.decision_seconds``.
+repeat matrices are served from a :class:`PlanCache`: a structural
+fingerprint (shape, nnz, rowptr/colind dtype + bytes), hashed once per
+matrix object, keys the classification decision *and* the converted
+execution format, so the Table V amortization overhead of a recurring
+operator drops to one values digest per lookup. Caches persist across
+processes (``PlanCache.save``/``load``): a warm-started optimizer
+serves its first request at zero decision cost, visible in
+``OptimizationPlan.decision_seconds``.
 """
 
 from __future__ import annotations
@@ -888,7 +889,9 @@ class AdaptiveSpMV:
         hit skips classification (``decision_seconds == 0``), and when
         the values digest matches too the converted data is reused
         outright (``setup_seconds == 0``) — the operator is ready at
-        zero amortization overhead.
+        zero amortization overhead. Values may have changed in place
+        since the last call, so the digest is taken on every call; the
+        structural fingerprint is cached on the matrix.
         """
         own_tracer = tracer if tracer is not None else Tracer()
         key, entry = self._lookup(csr, own_tracer)

@@ -62,6 +62,8 @@ class OptimizationPool:
     def __init__(self, policy: PoolPolicy | None = None,
                  mapping: dict | None = None):
         self.policy = policy or PoolPolicy()
+        #: ``(snapshot, signature)`` of the last :meth:`content_signature`.
+        self._signature_memo: tuple | None = None
         self.mapping: dict[Bottleneck, object] = {
             Bottleneck.MB: "compression",
             Bottleneck.ML: "prefetching",
@@ -105,10 +107,22 @@ class OptimizationPool:
         mapping_signature` (shared with every other content-addressed
         artifact) and is pinned by ``tests/model/test_signature.py`` —
         persisted plan-cache keys embed it verbatim.
+
+        The string is rebuilt only when the pool changes: it is
+        memoized on a snapshot of ``(policy, mapping items)``, so
+        :meth:`override`, a direct ``pool.mapping[...] = ...`` edit or a
+        new ``pool.policy`` all produce a fresh signature.
         """
+        snapshot = (self.policy, tuple(self.mapping.items()))
+        memo = self._signature_memo
+        if memo is not None and memo[0] == snapshot:
+            return memo[1]
         from ..model.signature import mapping_signature
 
-        return mapping_signature(self.mapping, asdict(self.policy))
+        policy, items = snapshot
+        signature = mapping_signature(dict(items), asdict(policy))
+        self._signature_memo = (snapshot, signature)
+        return signature
 
     def imb_strategy(self, features: FeatureVector) -> str:
         """Pick the IMB sub-optimization from structural features."""

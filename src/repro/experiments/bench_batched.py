@@ -297,6 +297,9 @@ def bench_kernels(
     rows = []
     for mat_name, csr in matrices:
         X = rng.standard_normal((csr.ncols, rhs))
+        # The single-RHS loop applies contiguous rows of X^T: a strided
+        # column X[:, j] would make every apply time a copy of x too.
+        xs = np.ascontiguousarray(X.T)
         flops = 2.0 * csr.nnz * rhs
         y = np.empty(csr.nrows)
         for kern_name, kernel in kernels:
@@ -304,18 +307,17 @@ def bench_kernels(
             workspace = Workspace()
             # Warm up both planes (primes lazy layouts, plan caches
             # and the workspace arena).
-            kernel.apply(data, X[:, 0], out=y, workspace=workspace)
+            kernel.apply(data, xs[0], out=y, workspace=workspace)
             kernel.apply_multi(data, X[:, :1])
 
             allocs = measure_steady_allocs(
-                lambda: kernel.apply(data, X[:, 0], out=y,
+                lambda: kernel.apply(data, xs[0], out=y,
                                      workspace=workspace)
             )
 
             def single():
-                for j in range(rhs):
-                    kernel.apply(data, X[:, j], out=y,
-                                 workspace=workspace)
+                for x in xs:
+                    kernel.apply(data, x, out=y, workspace=workspace)
 
             workspace.reset_stats()
             t_single = runner.time_seconds(

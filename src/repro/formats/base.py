@@ -134,6 +134,18 @@ class SparseFormat(abc.ABC):
     #: short identifier used in reports, e.g. ``"csr"``.
     format_name: str = "abstract"
 
+    #: slots holding lazily built caches derived from the stored arrays
+    #: (index plans, decoded views, the structural fingerprint). They
+    #: start empty; a copy that may alter the arrays must empty them
+    #: again (:meth:`_reset_derived`), or it would run on the source's
+    #: caches instead of its own arrays.
+    _derived_slots: tuple[str, ...] = ()
+
+    def _reset_derived(self) -> None:
+        """Empty every derived-cache slot; rebuilt lazily on next use."""
+        for slot in self._derived_slots:
+            object.__setattr__(self, slot, None)
+
     # -- validation plane ---------------------------------------------
 
     def validate(self, *, strict: bool = True,

@@ -35,8 +35,9 @@ class BCSRMatrix(SparseFormat):
 
     format_name = "bcsr"
 
+    _derived_slots = ("_plan",)
     __slots__ = ("block_rowptr", "block_colind", "block_values", "block",
-                 "_shape", "_nnz", "_plan")
+                 "_shape", "_nnz") + _derived_slots
 
     def __init__(self, block_rowptr, block_colind, block_values, block,
                  shape, nnz, *, trusted=False):
@@ -47,7 +48,7 @@ class BCSRMatrix(SparseFormat):
         self.block = int(block)
         self._shape = (int(shape[0]), int(shape[1]))
         self._nnz = int(nnz)
-        self._plan = None
+        self._reset_derived()
         if not trusted:
             nblocks = self.block_colind.size
             if self.block_values.shape != (nblocks, self.block, self.block):

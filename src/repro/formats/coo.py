@@ -39,7 +39,8 @@ class COOMatrix(SparseFormat):
 
     format_name = "coo"
 
-    __slots__ = ("rows", "cols", "values", "_shape", "_seg")
+    _derived_slots = ("_seg",)
+    __slots__ = ("rows", "cols", "values", "_shape") + _derived_slots
 
     def __init__(self, rows, cols, values, shape, *,
                  sum_duplicates: bool = True, trusted: bool = False):
@@ -76,7 +77,7 @@ class COOMatrix(SparseFormat):
         self.rows = rows
         self.cols = cols
         self.values = values
-        self._seg = None
+        self._reset_derived()
 
     # -- SparseFormat interface ---------------------------------------
 

@@ -58,8 +58,9 @@ class CSRMatrix(SparseFormat):
 
     format_name = "csr"
 
-    __slots__ = ("rowptr", "colind", "values", "_shape",
-                 "_row_ids", "_index", "_comp", "_ipcol")
+    _derived_slots = ("_row_ids", "_index", "_comp", "_ipcol",
+                      "_fingerprint")
+    __slots__ = ("rowptr", "colind", "values", "_shape") + _derived_slots
 
     def __init__(self, rowptr, colind, values, shape, *, trusted=False):
         self._shape = check_shape_2d("shape", shape)
@@ -85,11 +86,9 @@ class CSRMatrix(SparseFormat):
         self.rowptr = rowptr
         self.colind = colind
         self.values = values
-        # Structure-derived plan caches (lazy; values-independent).
-        self._row_ids = None
-        self._index = None
-        self._comp = None
-        self._ipcol = None
+        # Structure-derived plan caches and the structural fingerprint
+        # (lazy; values-independent).
+        self._reset_derived()
 
     # -- SparseFormat interface ---------------------------------------
 

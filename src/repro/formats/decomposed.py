@@ -50,6 +50,7 @@ class DecomposedCSR(SparseFormat):
 
     format_name = "decomposed-csr"
 
+    _derived_slots = ("_long", "_iprows")
     __slots__ = (
         "short",
         "long_rows",
@@ -58,9 +59,7 @@ class DecomposedCSR(SparseFormat):
         "long_values",
         "threshold",
         "_shape",
-        "_long",
-        "_iprows",
-    )
+    ) + _derived_slots
 
     def __init__(self, short, long_rows, long_rowptr, long_colind, long_values,
                  threshold, shape, *, trusted=False):
@@ -71,8 +70,7 @@ class DecomposedCSR(SparseFormat):
         self.long_values = np.ascontiguousarray(long_values, dtype=np.float64)
         self.threshold = int(threshold)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._long = None
-        self._iprows = None
+        self._reset_derived()
         if not trusted:
             if self.long_rowptr.size != self.long_rows.size + 1:
                 raise ValueError(

@@ -59,6 +59,7 @@ class DeltaCSR(SparseFormat):
 
     format_name = "delta-csr"
 
+    _derived_slots = ("_decoded",)
     __slots__ = (
         "rowptr",
         "deltas",
@@ -67,8 +68,7 @@ class DeltaCSR(SparseFormat):
         "values",
         "width",
         "_shape",
-        "_decoded",
-    )
+    ) + _derived_slots
 
     def __init__(self, rowptr, deltas, reset_pos, reset_col, values, shape,
                  width, *, trusted=False):
@@ -79,7 +79,7 @@ class DeltaCSR(SparseFormat):
         self.reset_col = np.ascontiguousarray(reset_col, dtype=np.int32)
         self.values = np.ascontiguousarray(values, dtype=np.float64)
         self._shape = (int(shape[0]), int(shape[1]))
-        self._decoded = None
+        self._reset_derived()
         if not trusted:
             if self.deltas.size != self.values.size:
                 raise ValueError("deltas and values must have equal length")

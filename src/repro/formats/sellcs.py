@@ -45,8 +45,10 @@ class SellCSigmaMatrix(SparseFormat):
 
     format_name = "sell-c-sigma"
 
+    _derived_slots = ("_rm",)
     __slots__ = ("chunk_ptr", "chunk_len", "colind", "values",
-                 "row_perm", "chunk", "sigma", "_shape", "_nnz", "_rm")
+                 "row_perm", "chunk", "sigma", "_shape",
+                 "_nnz") + _derived_slots
 
     def __init__(self, chunk_ptr, chunk_len, colind, values, row_perm,
                  chunk, sigma, shape, nnz, *, trusted=False):
@@ -59,7 +61,7 @@ class SellCSigmaMatrix(SparseFormat):
         self.sigma = int(sigma)
         self._shape = (int(shape[0]), int(shape[1]))
         self._nnz = int(nnz)
-        self._rm = None
+        self._reset_derived()
         if not trusted:
             nchunks = self.chunk_len.size
             if self.chunk_ptr.size != nchunks + 1:

@@ -121,14 +121,16 @@ def _all_slots(cls) -> tuple[str, ...]:
 def clone_format(fmt: SparseFormat) -> SparseFormat:
     """Deep-copy a format instance without running its constructor.
 
-    Arrays are copied, nested formats are cloned recursively, and
-    derived caches (SELL-C-sigma's row-major regrouping) are dropped so
-    a later mutation cannot be masked by stale precomputed state.
+    Arrays are copied, nested formats are cloned recursively, and every
+    derived cache (``SparseFormat._derived_slots``: index plans, decoded
+    views, the structural fingerprint) is emptied, so a later mutation
+    of the clone's arrays cannot be masked by the source's precomputed
+    state.
     """
     cls = type(fmt)
     clone = object.__new__(cls)
     for slot in _all_slots(cls):
-        if not hasattr(fmt, slot):
+        if slot in cls._derived_slots or not hasattr(fmt, slot):
             continue
         value = getattr(fmt, slot)
         if isinstance(value, np.ndarray):
@@ -136,8 +138,7 @@ def clone_format(fmt: SparseFormat) -> SparseFormat:
         elif isinstance(value, SparseFormat):
             value = clone_format(value)
         object.__setattr__(clone, slot, value)
-    if hasattr(clone, "_rm"):
-        object.__setattr__(clone, "_rm", None)
+    clone._reset_derived()
     return clone
 
 

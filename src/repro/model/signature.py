@@ -6,9 +6,11 @@ exactly one definition of "same content" across processes and builds.
 Before the :mod:`repro.model` subsystem existed, ``matrix_fingerprint``
 lived in ``core/optimizer.py`` and ``OptimizationPool.content_signature``
 carried its own string format in ``core/pool.py``; both now delegate
-here. The algorithms are **pinned** (see ``tests/model/test_signature.py``):
-changing any of them silently invalidates every persisted cache, so a
-digest change must be a deliberate schema bump.
+here. The persisted algorithms are **pinned** (see
+``tests/model/test_signature.py``): changing any of them silently
+invalidates every persisted cache, so a digest change must be a
+deliberate schema bump. :func:`values_digest` is the exception: it
+never leaves the process, so it is free to use the fastest hash.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 import os
 
 import numpy as np
+
+from ..formats.csr import CSRMatrix
 
 __all__ = [
     "canonical_body",
@@ -48,39 +52,63 @@ def body_checksum(body: dict) -> str:
                            digest_size=16).hexdigest()
 
 
+def _update_array(h, arr) -> None:
+    """Feed ``arr``'s dtype string and raw bytes to hash ``h``.
+
+    The dtype string (``arr.dtype.str``) encodes width *and*
+    endianness, so arrays with coincidentally equal bytes but different
+    dtypes cannot alias. The bytes go in through a ``memoryview``: the
+    digest equals hashing ``arr.tobytes()`` without that copy.
+    """
+    a = np.ascontiguousarray(arr)
+    h.update(a.dtype.str.encode("ascii"))
+    h.update(memoryview(a))
+
+
 def matrix_fingerprint(csr) -> str:
-    """Cheap structural fingerprint of a CSR matrix.
+    """Structural fingerprint of a CSR matrix, computed once per object.
 
     Hashes shape, nnz and the ``rowptr``/``colind`` arrays (one linear
     pass, no numeric work) — two matrices with the same fingerprint
     have identical sparsity structure, which is all the classifiers and
     format conversions depend on. Each index array is digested together
-    with its dtype string (``arr.dtype.str``, which encodes width *and*
-    endianness), so an int32 and an int64 array with coincidentally
-    equal bytes cannot alias and fingerprints are stable enough to key
+    with its dtype string, so fingerprints are stable enough to key
     on-disk plans. Values are digested separately (see
     :func:`values_digest`) so a matrix whose coefficients changed but
     whose structure did not can still reuse its plan.
+
+    A :class:`~repro.formats.CSRMatrix` keeps the result in its
+    ``_fingerprint`` slot: its structural arrays are immutable by
+    contract, so every later lookup of the same object is free. Other
+    objects with the same attributes are hashed on every call.
     """
+    is_csr = isinstance(csr, CSRMatrix)
+    if is_csr and csr._fingerprint is not None:
+        return csr._fingerprint
     h = hashlib.blake2b(digest_size=16)
     h.update(
         np.array([csr.shape[0], csr.shape[1], csr.nnz],
                  dtype=np.int64).tobytes()
     )
-    for arr in (csr.rowptr, csr.colind):
-        a = np.ascontiguousarray(arr)
-        h.update(a.dtype.str.encode("ascii"))
-        h.update(a.tobytes())
-    return h.hexdigest()
+    _update_array(h, csr.rowptr)
+    _update_array(h, csr.colind)
+    fingerprint = h.hexdigest()
+    if is_csr:
+        csr._fingerprint = fingerprint
+    return fingerprint
 
 
 def values_digest(csr) -> str:
     """Digest of the numeric values array (dtype-aware), separate from
-    the structural fingerprint so value updates keep the plan."""
-    h = hashlib.blake2b(digest_size=16)
-    a = np.ascontiguousarray(csr.values)
-    h.update(a.dtype.str.encode("ascii"))
-    h.update(a.tobytes())
+    the structural fingerprint so value updates keep the plan.
+
+    Values may change in place, so this is computed on every call.
+    The digest is process-local (persisted plan caches store no
+    values digest), which lets it use SHA-256: with the SHA extensions
+    of current x86 and ARM cores it hashes faster than blake2b.
+    """
+    h = hashlib.sha256(usedforsecurity=False)
+    _update_array(h, csr.values)
     return h.hexdigest()
 
 

@@ -38,6 +38,27 @@ def test_fingerprint_distinguishes_structure(small_random_csr,
     assert matrix_fingerprint(a) != matrix_fingerprint(b)
 
 
+def test_fingerprint_is_cached_and_shared_by_equal_structure(
+        small_random_csr):
+    """The fingerprint is hashed once per matrix object; a second
+    matrix over the same arrays hashes to the same key and hits."""
+    from types import SimpleNamespace
+
+    a = _with_values(small_random_csr, small_random_csr.values)
+    opt = AdaptiveSpMV(KNL, classifier="profile")
+    opt.optimize(a)
+    fp = a._fingerprint
+    assert fp is not None and matrix_fingerprint(a) is fp
+    b = _with_values(a, a.values)
+    assert b._fingerprint is None
+    assert matrix_fingerprint(b) == fp
+    # the cached digest is the one a plain re-hash gives
+    stub = SimpleNamespace(shape=a.shape, nnz=a.nnz,
+                           rowptr=a.rowptr, colind=a.colind)
+    assert matrix_fingerprint(stub) == fp
+    assert opt.optimize(b).plan.cache_hit
+
+
 # -- cache semantics ---------------------------------------------------
 
 
@@ -76,6 +97,43 @@ def test_same_structure_new_values_reuses_decision(small_random_csr, rng,
     np.testing.assert_allclose(
         op.matvec(x300), changed.matvec(x300), rtol=1e-9, atol=1e-9
     )
+
+
+def test_values_mutated_in_place_after_hit_reconvert():
+    """Values may change in place: a hit must not serve the converted
+    data of the old values (the split kernel copies them)."""
+    from repro.matrices.generators import power_law
+
+    csr = power_law(2048, avg_deg=10)
+    x = np.random.default_rng(3).standard_normal(csr.ncols)
+    opt = AdaptiveSpMV(KNL, classifier="profile")
+    first = opt.optimize(csr)
+    assert "split" in first.plan.kernel_name
+    assert opt.optimize(csr).plan.setup_seconds == 0.0
+
+    csr.values *= 2
+    op = opt.optimize(csr)
+    assert op.plan.cache_hit
+    assert op.plan.setup_seconds > 0.0
+    S = csr.to_scipy()
+    err = np.abs(op.matvec(x) - S @ x)
+    assert np.all(err <= 1e-10 * (abs(S) @ np.abs(x)))
+
+
+def test_pool_signature_follows_pool_edits():
+    from repro.core.pool import OptimizationPool
+
+    pool = OptimizationPool()
+    base = pool.content_signature()
+    assert pool.content_signature() == base
+    pool.override(MB="vectorization")
+    overridden = pool.content_signature()
+    assert overridden != base and "MB=vectorization" in overridden
+    from repro.core.classes import Bottleneck
+
+    pool.mapping[Bottleneck.ML] = "unrolling"
+    edited = pool.content_signature()
+    assert edited != overridden and "ML=unrolling" in edited
 
 
 def test_plan_hits_cache_too(small_random_csr):
